@@ -16,7 +16,10 @@
 # blocking width and strictly better on average, stable precision above
 # its floor; writes results/BENCH_align.json), and the snapshot smoke
 # gate (SSTSNAP1 round trip bit-identical on every measure and faster
-# than a cold parse; the full run writes results/BENCH_snapshot.json).
+# than a cold parse; the full run writes results/BENCH_snapshot.json),
+# and the benchmark package's own tests: sstbench is a separate cargo
+# workspace whose oracle drives the library's prepared-context API, so a
+# library change that breaks it fails here rather than in a benchmark run.
 set -eu
 cd "$(dirname "$0")"
 # Archive the machine-readable findings document first (written even
@@ -31,6 +34,7 @@ cargo run --release -p sst-bench --bin server_smoke -- --smoke
 cargo run --release -p sst-bench --bin ann_bench -- --smoke
 cargo run --release -p sst-bench --bin align_bench -- --smoke
 cargo run --release -p sst-bench --bin snapshot_bench -- --smoke
+cargo test --release --manifest-path sstbench/Cargo.toml
 # The archived full-run matrix benchmark must agree with the smoke gate:
 # every measure row records an honest bit_identical flag, and a stale or
 # regressed archive with any false flag fails the build.

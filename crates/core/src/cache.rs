@@ -43,7 +43,7 @@ use sst_obs::Counter;
 use sst_soqa::GlobalConcept;
 
 use crate::error::Result;
-use crate::facade::{rank_descending, ConceptAndSimilarity, ConceptSet, PairScorer, SstToolkit};
+use crate::facade::{rank_descending, ConceptAndSimilarity, ConceptSet, SstToolkit};
 use crate::lru::{ShardedLru, Slot};
 
 type Key = (usize, GlobalConcept, GlobalConcept);
@@ -234,12 +234,15 @@ impl<T: Borrow<SstToolkit>> CachedSimilarity<T> {
     /// Cached version of [`SstToolkit::most_similar`]: reuses any pairs
     /// already scored and stores the rest.
     ///
-    /// Misses are computed in one batch on the toolkit's prepared-context
-    /// path (one [`SstToolkit::prepare`] over the missed members plus the
-    /// query) instead of one naive pairwise call per member; memo keys are
-    /// unchanged. Hit/miss counters move only after the whole batch has
-    /// completed — an error partway through the scan (unknown measure, a
-    /// member that fails to resolve) leaves every counter untouched.
+    /// Misses are scored in one batch by the toolkit's own rank loop
+    /// (the missed members plus the query, scored positionally over the
+    /// toolkit's resident prepared views) instead of one naive pairwise
+    /// call per member, and are stored in member order, so the memo's
+    /// contents — and with them the next request's hits, misses and
+    /// evictions — are the same on every run. Hit/miss counters move only
+    /// after the whole batch has completed — an error partway through
+    /// (unknown measure, a member that fails to resolve) leaves every
+    /// counter untouched.
     pub fn most_similar(
         &self,
         concept: &str,
@@ -248,79 +251,61 @@ impl<T: Borrow<SstToolkit>> CachedSimilarity<T> {
         k: usize,
         measure: usize,
     ) -> Result<Vec<ConceptAndSimilarity>> {
-        let members = self.toolkit().concept_set(set)?;
+        let toolkit = self.toolkit();
+        let members = toolkit.concept_set(set)?;
         if members.is_empty() {
             return Ok(Vec::new());
         }
-        let query = self.toolkit().soqa().resolve(ontology, concept)?;
+        let query = toolkit.soqa().resolve(ontology, concept)?;
         // Fail on an unknown measure *before* any accounting.
-        let runner = self.toolkit().runner(measure)?;
+        toolkit.runner(measure)?;
 
         // Scan the memo once; misses are deduplicated into batch slots so a
         // repeated pair is computed once and the repeat counts as a hit,
         // exactly as the sequential per-member path behaved. Hits and
         // misses accumulate locally until all work has actually happened.
+        // Concept names are unique within an ontology, so a member's
+        // handle is its identity and keys it directly.
         let mut hits: u64 = 0;
-        let mut misses: u64 = 0;
-        let mut all: Vec<ConceptAndSimilarity> = Vec::with_capacity(members.len());
+        let mut scores: Vec<f64> = Vec::with_capacity(members.len());
         let mut slot_of_row: Vec<Option<usize>> = Vec::with_capacity(members.len());
-        let mut pending_keys: HashMap<Key, usize> = HashMap::new();
+        let mut slot_of_key: HashMap<Key, usize> = HashMap::new();
+        let mut pending_keys: Vec<Key> = Vec::new();
         let mut pending: Vec<GlobalConcept> = Vec::new();
-        for gc in members {
-            let other = self.toolkit().soqa().concept(gc).name.clone();
-            let other_onto = self
-                .toolkit()
-                .soqa()
-                .ontology_at(gc.ontology)
-                .name()
-                .to_owned();
-            // Resolve by name like the pairwise service does, so duplicate
-            // names keep hitting the same memo entry they always did.
-            let rgc = self.toolkit().soqa().resolve(&other_onto, &other)?;
-            let key = Self::canonical(measure, query, rgc);
-            let (similarity, slot) = if let Some(cached) = self.memo.get(&key) {
+        for &gc in &members {
+            let key = Self::canonical(measure, query, gc);
+            let slot = if let Some(cached) = self.memo.get(&key) {
                 hits += 1;
-                (cached, None)
-            } else if let Some(&slot) = pending_keys.get(&key) {
+                scores.push(cached);
+                None
+            } else if let Some(&slot) = slot_of_key.get(&key) {
                 hits += 1;
-                (0.0, Some(slot))
+                scores.push(0.0);
+                Some(slot)
             } else {
                 let slot = pending.len();
-                pending_keys.insert(key, slot);
-                pending.push(rgc);
-                misses += 1;
-                (0.0, Some(slot))
+                slot_of_key.insert(key, slot);
+                pending_keys.push(key);
+                pending.push(gc);
+                scores.push(0.0);
+                Some(slot)
             };
-            all.push(ConceptAndSimilarity {
-                concept: other,
-                ontology: other_onto,
-                similarity,
-            });
             slot_of_row.push(slot);
         }
 
+        let misses = pending.len() as u64;
         if !pending.is_empty() {
-            let mut batch = pending.clone();
-            batch.push(query);
-            let prep = self.toolkit().prepare_for(&batch, runner.needs());
-            let scorer = PairScorer::new(runner, &prep);
-            let qpos = batch.len() - 1;
-            let values: Vec<f64> = (0..pending.len())
-                .map(|i| {
-                    self.toolkit()
-                        .timed_score(measure, || scorer.score(qpos, i))
-                })
-                .collect();
+            let values = toolkit.score_members(query, &pending, measure)?;
             let mut evicted: u64 = 0;
-            for (&key, &slot) in &pending_keys {
-                if self.memo.insert(key, values[slot]) {
+            for (&key, &value) in pending_keys.iter().zip(&values) {
+                if self.memo.insert(key, value) {
                     evicted += 1;
                 }
             }
             self.note_evictions(evicted);
-            for (row, slot) in all.iter_mut().zip(&slot_of_row) {
-                if let Some(slot) = *slot {
-                    row.similarity = values[slot];
+            for (score, slot) in scores.iter_mut().zip(&slot_of_row) {
+                if let Some(&value) = slot.and_then(|s| values.get(s)) {
+                    *score = value;
                 }
             }
         }
@@ -331,9 +316,7 @@ impl<T: Borrow<SstToolkit>> CachedSimilarity<T> {
         self.misses.fetch_add(misses, Ordering::Relaxed);
         self.misses_metric.add(misses);
 
-        all.sort_by(rank_descending);
-        all.truncate(k);
-        Ok(all)
+        Ok(toolkit.top_k(members.into_iter().zip(scores), k, rank_descending))
     }
 }
 
@@ -570,6 +553,39 @@ mod tests {
                     .unwrap();
                 assert_eq!(again.to_bits(), direct[i * concepts.len() + j].to_bits());
             }
+        }
+    }
+
+    /// Misses are stored in member order, so two fresh caches given the
+    /// same rank sequence under eviction pressure end in the same state:
+    /// which pairs survive eviction, and with them the next request's
+    /// hits and misses, must not depend on hash-map iteration order.
+    #[test]
+    fn memo_state_under_eviction_is_deterministic() {
+        let sst = toolkit();
+        let run = || {
+            let cache = CachedSimilarity::with_capacity(&sst, 4);
+            for query in [
+                "Student",
+                "Person",
+                "Course",
+                "Student",
+                "Thing",
+                "Professor",
+                "Person",
+                "Student",
+                "Course",
+            ] {
+                cache
+                    .most_similar(query, "uni", &ConceptSet::All, 3, m::LIN_MEASURE)
+                    .unwrap();
+            }
+            (cache.len(), cache.stats(), cache.evictions())
+        };
+        let first = run();
+        assert!(first.2 > 0, "the sequence evicts");
+        for _ in 0..16 {
+            assert_eq!(run(), first);
         }
     }
 

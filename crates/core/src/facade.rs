@@ -23,8 +23,8 @@ use sst_soqa::{GlobalConcept, Ontology, Soqa};
 use crate::chart::Chart;
 use crate::error::{Result, SstError};
 use crate::runner::{
-    default_runners, MeasureRunner, PrepareNeeds, PreparedContext, PreparedMeasure, RunnerInfo,
-    SimilarityContext,
+    default_runners, MeasureRunner, PrepareNeeds, PreparedContext, PreparedMeasure, ResidentViews,
+    RunnerInfo, SimilarityContext,
 };
 use crate::sched;
 use crate::tree::{TreeMode, UnifiedTree};
@@ -103,8 +103,8 @@ pub struct ConceptAndSimilarity {
 /// tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BatchMode {
-    /// Prepared-context batch engine: per-concept views and BFS tables are
-    /// computed once per operation (the default).
+    /// Prepared-context batch engine: pairs are scored over the toolkit's
+    /// resident per-concept views (the default).
     #[default]
     Prepared,
     /// Per-pair path: every runner call rederives its inputs.
@@ -145,26 +145,35 @@ impl<'p> PairScorer<'p> {
     }
 }
 
+/// A k-best candidate with borrowed names: selection compares these, and
+/// only the `k` winners become owned [`ConceptAndSimilarity`] rows.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RankKey<'a> {
+    similarity: f64,
+    ontology: &'a str,
+    concept: &'a str,
+}
+
+/// A k-best order over [`RankKey`]s.
+pub(crate) type RankOrder = fn(&RankKey<'_>, &RankKey<'_>) -> std::cmp::Ordering;
+
 /// The shared tiebreak of every k-best ranking: the qualified
 /// `(ontology, concept)` name in ascending lexicographic order. Qualified
 /// names are unique, so any comparator ending in this tiebreak is a
 /// strict total order — equal-score truncation at `k` returns the same
 /// entries no matter what order the scores were produced in.
-fn rank_tiebreak(x: &ConceptAndSimilarity, y: &ConceptAndSimilarity) -> std::cmp::Ordering {
-    (&x.ontology, &x.concept).cmp(&(&y.ontology, &y.concept))
+fn rank_tiebreak(x: &RankKey<'_>, y: &RankKey<'_>) -> std::cmp::Ordering {
+    (x.ontology, x.concept).cmp(&(y.ontology, y.concept))
 }
 
 /// Shared descending rank order for k-best results: IEEE 754 `total_cmp`
 /// on the similarity (NaN ranks first), then [`rank_tiebreak`]. Every
 /// descending rank entry point — direct, multi-measure, combined, cached,
-/// and the exact/approximate vector paths — sorts with this, so a NaN
+/// and the exact/approximate vector paths — selects with this, so a NaN
 /// score from a user-registered runner ranks identically whether or not
 /// the pair was memoized, and exact/approx parity is assertable entry by
 /// entry.
-pub(crate) fn rank_descending(
-    x: &ConceptAndSimilarity,
-    y: &ConceptAndSimilarity,
-) -> std::cmp::Ordering {
+pub(crate) fn rank_descending(x: &RankKey<'_>, y: &RankKey<'_>) -> std::cmp::Ordering {
     y.similarity
         .total_cmp(&x.similarity)
         .then_with(|| rank_tiebreak(x, y))
@@ -174,10 +183,7 @@ pub(crate) fn rank_descending(
 /// [`rank_descending`]. The score order flips; the name tiebreak does
 /// not, so the two orders stay mirror images on distinct scores and
 /// agree on tied ones.
-pub(crate) fn rank_ascending(
-    x: &ConceptAndSimilarity,
-    y: &ConceptAndSimilarity,
-) -> std::cmp::Ordering {
+pub(crate) fn rank_ascending(x: &RankKey<'_>, y: &RankKey<'_>) -> std::cmp::Ordering {
     x.similarity
         .total_cmp(&y.similarity)
         .then_with(|| rank_tiebreak(x, y))
@@ -307,6 +313,11 @@ impl SstBuilder {
             .iter()
             .map(|r| MeasureMetrics::register(&metrics, &r.info().name))
             .collect();
+        let resident = ResidentViews::new(
+            &self.soqa,
+            &tree,
+            metrics.counter("core.prepare.family.builds"),
+        );
 
         SstToolkit {
             soqa: self.soqa,
@@ -320,6 +331,7 @@ impl SstBuilder {
             measure_names,
             measure_metrics,
             metrics,
+            resident,
             last_sched: std::sync::Mutex::new(None),
         }
     }
@@ -382,6 +394,8 @@ pub struct SstToolkit {
     measure_names: HashMap<String, usize>,
     measure_metrics: Vec<MeasureMetrics>,
     metrics: Metrics,
+    /// Prepared per-concept artifact families, each built on first use.
+    resident: ResidentViews,
     /// Stats of the most recent work-stealing scheduler run (bench and
     /// diagnostics introspection; see [`SstToolkit::last_sched_stats`]).
     last_sched: std::sync::Mutex<Option<sched::SchedStats>>,
@@ -481,11 +495,11 @@ impl SstToolkit {
         Ok(value)
     }
 
-    /// Builds a [`PreparedContext`] over `concepts`: per-concept feature
-    /// sets, interned token sequences, subtree forms, document vectors, and
-    /// BFS tables, computed once so batch scans stop rederiving them per
-    /// pair. Public so external batch flows (benches, user services) can
-    /// drive [`MeasureRunner::prepare`] directly.
+    /// A [`PreparedContext`] over `concepts` with every artifact family:
+    /// feature sets, interned token sequences, name forms, subtree forms,
+    /// document vectors and ancestor lists, so batch scans stop rederiving
+    /// them per pair. Public so external batch flows (benches, user
+    /// services) can drive [`MeasureRunner::prepare`] directly.
     pub fn prepare(&self, concepts: &[GlobalConcept]) -> PreparedContext<'_> {
         self.prepare_for(concepts, PrepareNeeds::ALL)
     }
@@ -493,7 +507,10 @@ impl SstToolkit {
     /// [`SstToolkit::prepare`] restricted to the artifact families in
     /// `needs` — internal batch entry points pass the union of the
     /// participating runners' [`MeasureRunner::needs`], so a q-gram matrix
-    /// stops paying for BFS tables and TF-IDF vectors it never reads.
+    /// never makes the toolkit build ancestor lists or TF-IDF vectors.
+    /// The families are resident: the toolkit builds each one over all of
+    /// its concepts the first time any batch needs it, and every later
+    /// context only borrows it, so this costs O(`concepts.len()`).
     /// Artifacts outside `needs` are simply absent from the context; the
     /// built-in prepared scorers fall back to their naive per-pair formulas
     /// when asked for a missing artifact, so an under-provisioned context
@@ -506,7 +523,7 @@ impl SstToolkit {
         let _span = self.metrics.span("core.prepare.latency");
         self.metrics
             .add("core.prepare.concepts", concepts.len() as u64);
-        PreparedContext::new_with_needs(self.ctx(), concepts, needs)
+        PreparedContext::new(self.ctx(), &self.resident, concepts, needs)
     }
 
     /// Union of the [`MeasureRunner::needs`] of `measures` (for batch
@@ -604,9 +621,99 @@ impl SstToolkit {
 
     // ---- concept-vs-set and k-best services --------------------------------
 
+    /// Scores `query` against every member under one measure, in member
+    /// order: the one prepared scoring loop behind every single-measure
+    /// rank service, direct and memoized. The members and the query are
+    /// mapped onto the resident views once, then scored positionally.
+    pub(crate) fn score_members(
+        &self,
+        query: GlobalConcept,
+        members: &[GlobalConcept],
+        measure: usize,
+    ) -> Result<Vec<f64>> {
+        let runner = self.runner(measure)?;
+        let mut batch = Vec::with_capacity(members.len() + 1);
+        batch.extend_from_slice(members);
+        batch.push(query);
+        let prep = self.prepare_for(&batch, runner.needs());
+        let scorer = PairScorer::new(runner, &prep);
+        let n = members.len();
+        let qpos = n; // the query sits after the members
+                      // Large rank scans reuse the work-stealing chunk scheduler: the
+                      // member axis is cut into chunks and scored concurrently, then
+                      // assembled positionally (same scores, same order, any worker
+                      // count). Small sets stay serial — spawn overhead would dominate.
+        if n < RANK_PARALLEL_THRESHOLD {
+            return Ok((0..n)
+                .map(|i| self.timed_score(measure, || scorer.score(qpos, i)))
+                .collect());
+        }
+        let tiles = sched::rect_tiles(1, n, 64);
+        let workers = sched::default_workers().min(tiles.len());
+        let scorer = &scorer;
+        let (results, stats) = sched::run_tiles(&tiles, workers, |_, tile| {
+            let mut vals = Vec::with_capacity(tile.len());
+            tile.for_each(|_, i| {
+                vals.push(self.timed_score(measure, || scorer.score(qpos, i)));
+            });
+            vals
+        });
+        if stats.panicked > 0 {
+            return Err(SstError::Internal("rank worker thread died".into()));
+        }
+        self.record_sched_stats(&stats);
+        let mut scores = vec![0.0; n];
+        for (idx, vals) in results {
+            if let Some(tile) = tiles.get(idx) {
+                let mut it = vals.into_iter();
+                tile.for_each(|_, i| {
+                    if let Some(v) = it.next() {
+                        scores[i] = v;
+                    }
+                });
+            }
+        }
+        Ok(scores)
+    }
+
+    /// The `k` best `(concept, score)` candidates under `order`, best
+    /// first. Candidates are compared on borrowed names and only the `k`
+    /// winners become owned rows, so a rank over n members allocates k
+    /// rows instead of n.
+    pub(crate) fn top_k(
+        &self,
+        candidates: impl IntoIterator<Item = (GlobalConcept, f64)>,
+        k: usize,
+        order: RankOrder,
+    ) -> Vec<ConceptAndSimilarity> {
+        if k == 0 {
+            return Vec::new();
+        }
+        let mut keys: Vec<RankKey<'_>> = candidates
+            .into_iter()
+            .map(|(gc, similarity)| RankKey {
+                similarity,
+                ontology: self.soqa.ontology_at(gc.ontology).name(),
+                concept: &self.soqa.concept(gc).name,
+            })
+            .collect();
+        if k < keys.len() {
+            keys.select_nth_unstable_by(k - 1, order);
+            keys.truncate(k);
+        }
+        keys.sort_by(order);
+        keys.into_iter()
+            .map(|key| ConceptAndSimilarity {
+                concept: key.concept.to_owned(),
+                ontology: key.ontology.to_owned(),
+                similarity: key.similarity,
+            })
+            .collect()
+    }
+
     /// Similarity of `concept` to every member of `set` under one measure,
     /// in set order. Runs on the prepared-context batch path: the query and
-    /// every member are prepared once, then scored positionally.
+    /// every member are scored positionally over the resident views.
     pub fn similarity_to_set(
         &self,
         concept: &str,
@@ -619,54 +726,31 @@ impl SstToolkit {
         if members.is_empty() {
             return Ok(Vec::new());
         }
-        let runner = self.runner(measure)?;
-        let mut batch = members.clone();
-        batch.push(query);
-        let prep = self.prepare_for(&batch, runner.needs());
-        let scorer = PairScorer::new(runner, &prep);
-        let qpos = batch.len() - 1;
-        let n = members.len();
-        // Large rank scans reuse the work-stealing chunk scheduler: the
-        // member axis is cut into chunks and scored concurrently, then
-        // assembled positionally (same scores, same order, any worker
-        // count). Small sets stay serial — spawn overhead would dominate.
-        let scores: Vec<f64> = if n >= RANK_PARALLEL_THRESHOLD {
-            let tiles = sched::rect_tiles(1, n, 64);
-            let workers = sched::default_workers().min(tiles.len());
-            let scorer = &scorer;
-            let (results, stats) = sched::run_tiles(&tiles, workers, |_, tile| {
-                let mut vals = Vec::with_capacity(tile.len());
-                tile.for_each(|_, i| {
-                    vals.push(self.timed_score(measure, || scorer.score(qpos, i)));
-                });
-                vals
-            });
-            if stats.panicked > 0 {
-                return Err(SstError::Internal("rank worker thread died".into()));
-            }
-            self.record_sched_stats(&stats);
-            let mut scores = vec![0.0; n];
-            for (idx, vals) in results {
-                if let Some(tile) = tiles.get(idx) {
-                    let mut it = vals.into_iter();
-                    tile.for_each(|_, i| {
-                        if let Some(v) = it.next() {
-                            scores[i] = v;
-                        }
-                    });
-                }
-            }
-            scores
-        } else {
-            (0..n)
-                .map(|i| self.timed_score(measure, || scorer.score(qpos, i)))
-                .collect()
-        };
+        let scores = self.score_members(query, &members, measure)?;
         Ok(members
             .iter()
             .zip(scores)
             .map(|(&gc, v)| self.to_result(gc, v))
             .collect())
+    }
+
+    /// The `k` members of `set` first under `order` for the query concept.
+    fn rank(
+        &self,
+        concept: &str,
+        ontology: &str,
+        set: &ConceptSet,
+        k: usize,
+        measure: usize,
+        order: RankOrder,
+    ) -> Result<Vec<ConceptAndSimilarity>> {
+        let query = self.soqa.resolve(ontology, concept)?;
+        let members = self.concept_set(set)?;
+        if members.is_empty() {
+            return Ok(Vec::new());
+        }
+        let scores = self.score_members(query, &members, measure)?;
+        Ok(self.top_k(members.into_iter().zip(scores), k, order))
     }
 
     /// The `k` most similar concepts of `set` for the query concept (paper
@@ -684,10 +768,7 @@ impl SstToolkit {
         measure: usize,
     ) -> Result<Vec<ConceptAndSimilarity>> {
         let _span = self.measure_span(measure, MeasureOp::Rank);
-        let mut all = self.similarity_to_set(concept, ontology, set, measure)?;
-        all.sort_by(rank_descending);
-        all.truncate(k);
-        Ok(all)
+        self.rank(concept, ontology, set, k, measure, rank_descending)
     }
 
     /// The `k` most *dissimilar* concepts of `set` for the query concept.
@@ -700,10 +781,7 @@ impl SstToolkit {
         measure: usize,
     ) -> Result<Vec<ConceptAndSimilarity>> {
         let _span = self.measure_span(measure, MeasureOp::Rank);
-        let mut all = self.similarity_to_set(concept, ontology, set, measure)?;
-        all.sort_by(rank_ascending);
-        all.truncate(k);
-        Ok(all)
+        self.rank(concept, ontology, set, k, measure, rank_ascending)
     }
 
     // ---- dense vector retrieval (sub-linear k-best) ------------------------
@@ -720,13 +798,10 @@ impl SstToolkit {
     /// point, so exact-store rankings are bit-identical to the naive scan
     /// and approximate rankings are directly comparable.
     fn rank_vector_rows(&self, scored: Vec<(usize, f64)>, k: usize) -> Vec<ConceptAndSimilarity> {
-        let mut all: Vec<ConceptAndSimilarity> = scored
+        let candidates = scored
             .into_iter()
-            .filter_map(|(row, s)| self.vectors.concept(row).map(|gc| self.to_result(gc, s)))
-            .collect();
-        all.sort_by(rank_descending);
-        all.truncate(k);
-        all
+            .filter_map(|(row, s)| self.vectors.concept(row).map(|gc| (gc, s)));
+        self.top_k(candidates, k, rank_descending)
     }
 
     /// Resolves the query concept to its vector-store row.
@@ -888,14 +963,11 @@ impl SstToolkit {
         for &m in measures {
             let _span = self.measure_span(m, MeasureOp::Rank);
             let scorer = PairScorer::new(self.runner(m)?, &prep);
-            let mut all: Vec<ConceptAndSimilarity> = members
+            let scored = members
                 .iter()
                 .enumerate()
-                .map(|(i, &gc)| self.to_result(gc, self.timed_score(m, || scorer.score(qpos, i))))
-                .collect();
-            all.sort_by(rank_descending);
-            all.truncate(k);
-            rankings.push(all);
+                .map(|(i, &gc)| (gc, self.timed_score(m, || scorer.score(qpos, i))));
+            rankings.push(self.top_k(scored, k, rank_descending));
         }
         Ok(rankings)
     }
@@ -1172,21 +1244,15 @@ impl SstToolkit {
             .map(|&m| Ok(PairScorer::new(self.runner(m)?, &prep)))
             .collect::<Result<_>>()?;
         let qpos = batch.len() - 1;
-        let mut all: Vec<ConceptAndSimilarity> = members
-            .iter()
-            .enumerate()
-            .map(|(i, &gc)| {
-                let scores: Vec<f64> = measures
-                    .iter()
-                    .zip(&scorers)
-                    .map(|(&m, scorer)| self.timed_score(m, || scorer.score(qpos, i)))
-                    .collect();
-                self.to_result(gc, combiner.combine(&scores))
-            })
-            .collect();
-        all.sort_by(rank_descending);
-        all.truncate(k);
-        Ok(all)
+        let scored = members.iter().enumerate().map(|(i, &gc)| {
+            let scores: Vec<f64> = measures
+                .iter()
+                .zip(&scorers)
+                .map(|(&m, scorer)| self.timed_score(m, || scorer.score(qpos, i)))
+                .collect();
+            (gc, combiner.combine(&scores))
+        });
+        Ok(self.top_k(scored, k, rank_descending))
     }
 
     // ---- (S3) visualization services ---------------------------------------

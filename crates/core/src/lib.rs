@@ -67,8 +67,8 @@ pub use facade::{
 };
 pub use heatmap::Heatmap;
 pub use runner::{
-    ConceptView, MeasureRunner, PrepareNeeds, PreparedContext, PreparedMeasure, RunnerInfo,
-    SimilarityContext, TokenId,
+    MeasureRunner, PrepareNeeds, PreparedContext, PreparedMeasure, RunnerInfo, SimilarityContext,
+    TokenId,
 };
 pub use sched::{
     default_workers, rect_tiles, run_tiles, tile_size, triangle_tiles, SchedStats, Tile,

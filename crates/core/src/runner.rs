@@ -8,9 +8,10 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use sst_index::{cosine_sparse, DocId, InvertedIndex, TermId};
+use sst_obs::Counter;
 use sst_simpack::{
     dense_unit_similarity, edge_similarity, edge_similarity_compact, jaro, jaro_fast, jaro_winkler,
     jaro_winkler_fast, jiang_conrath_similarity, jiang_conrath_similarity_compact,
@@ -167,17 +168,21 @@ impl SimilarityContext<'_> {
     }
 }
 
-/// Interned M₂ token: sequence and alignment DP compare these `u32` ids
-/// instead of `String`s. Ids are assigned per [`PreparedContext`]; equal ids
-/// ⟺ equal token strings, so the DP outcome is bit-identical.
+/// Interned token id (M₂ tokens, M₁ features, and name words). Ids are
+/// assigned once per toolkit by its resident families; equal ids ⟺ equal
+/// strings, and the kernels only compare ids (for equality, or by a
+/// consistent order in sorted merges), so the scores are bit-identical to
+/// the string formulas.
 pub type TokenId = u32;
 
-/// Which prepared-artifact families a batch operation derives — a
-/// dependency-free bitflag set. Preparing a 2 000-concept batch for a
-/// single string measure should not pay for BFS tables, subtree forms, and
-/// TF-IDF vectors it never reads, so the facade asks each runner for its
-/// [`MeasureRunner::needs`] and prepares exactly that. Artifacts that were
-/// not prepared leave their [`ConceptView`] fields `None`; every prepared
+/// Which resident artifact families a batch operation borrows — a
+/// dependency-free bitflag set. A toolkit builds each family at most once,
+/// over all of its concepts, the first time a batch asks for it (see
+/// `DESIGN.md`, "Resident prepared views"), so a toolkit that only ever
+/// serves one string measure never pays for ancestor lists, subtree forms
+/// or TF-IDF vectors. The facade asks each runner for its
+/// [`MeasureRunner::needs`] and borrows exactly that. Families that were
+/// not requested are absent from the [`PreparedContext`]; every prepared
 /// scorer falls back to its naive per-pair formula in that case, so a
 /// mismatched (too-narrow) context degrades to the reference path instead
 /// of to wrong scores.
@@ -187,22 +192,22 @@ pub struct PrepareNeeds(u16);
 impl PrepareNeeds {
     /// No batch artifacts (pure naive fallback scoring).
     pub const NONE: PrepareNeeds = PrepareNeeds(0);
-    /// M₁ feature sets and their batch-interned id form.
+    /// M₁ feature sets, interned to sorted id lists.
     pub const FEATURES: PrepareNeeds = PrepareNeeds(1 << 0);
     /// M₂ token sequences, interned, plus their Myers bit-vector patterns.
     pub const TOKENS: PrepareNeeds = PrepareNeeds(1 << 1);
     /// Name character slices and Jaro bitmask tables.
     pub const NAME_CHARS: PrepareNeeds = PrepareNeeds(1 << 2);
-    /// Lowercase name-token pool (Monge-Elkan).
+    /// Interned lowercase name words (Monge-Elkan).
     pub const NAME_TOKENS: PrepareNeeds = PrepareNeeds(1 << 3);
     /// Packed q-gram profiles of the names.
     pub const QGRAMS: PrepareNeeds = PrepareNeeds(1 << 4);
     /// Depth-limited subtrees in Zhang-Shasha form.
     pub const SUBTREES: PrepareNeeds = PrepareNeeds(1 << 5);
-    /// TF-IDF document vectors (full-text and dense measures).
+    /// TF-IDF document vectors and their dense embeddings (full-text and
+    /// dense measures).
     pub const TFIDF: PrepareNeeds = PrepareNeeds(1 << 6);
-    /// Per-concept BFS tables, compact ancestor lists, and depths
-    /// (graph and information-content measures).
+    /// Compact ancestor lists (graph and information-content measures).
     pub const TABLES: PrepareNeeds = PrepareNeeds(1 << 7);
     /// Every artifact family (the safe default).
     pub const ALL: PrepareNeeds = PrepareNeeds(u16::MAX);
@@ -218,197 +223,318 @@ impl PrepareNeeds {
     }
 }
 
-/// Memoized per-concept artifacts for one batch operation: everything the
-/// default runners rederive per *pair* on the naive path, computed once per
-/// *concept* instead. Fields gated by [`PrepareNeeds`] are `None` when the
-/// batch was prepared without that artifact family.
-#[derive(Debug)]
-pub struct ConceptView {
-    /// The concept these views describe.
-    pub concept: GlobalConcept,
-    /// Its node in the unified tree.
-    pub node: NodeId,
-    /// The concept's local name.
-    pub name: String,
-    /// The concept's document in the full-text index, if any.
-    pub doc: Option<DocId>,
-    /// M₁ feature set (attributes, methods, relationships, typed supers).
-    pub features: Option<FeatureSet>,
-    /// `features` interned to sorted distinct ids against the batch
-    /// vocabulary — the set measures intersect these by sorted merge.
-    pub features_interned: Option<InternedFeatures>,
-    /// M₂ token sequence, interned to [`TokenId`]s.
-    pub tokens: Option<Vec<TokenId>>,
-    /// Myers bit-vector pattern over `tokens` (the bit-parallel
-    /// Levenshtein core of the sequence measure).
-    pub token_pattern: Option<MyersPattern>,
-    /// `name` as a character slice (for the Jaro-family measures).
-    pub name_chars: Option<Vec<char>>,
-    /// Position bitmasks of `name_chars` for the masked Jaro kernel
-    /// (`None` also for names longer than 64 characters).
-    pub jaro_mask: Option<JaroMask>,
-    /// `name` split into lowercase word tokens, interned across the batch
-    /// (for Monge-Elkan; resolve via [`PreparedContext::name_token_pool`]).
-    pub name_tokens: Option<Vec<TokenId>>,
-    /// Packed (bitset-backed) padded q-gram profile of `name`.
-    pub qgrams: Option<QGramPacked>,
-    /// Depth-2 unified-tree subtree in preprocessed Zhang-Shasha form.
-    pub subtree: Option<ZsTree>,
-    /// Cached TF-IDF vector of `doc` (`Some` but empty when `doc` is
-    /// `None` and the artifact family was prepared).
-    pub tfidf: Option<Vec<(TermId, f64)>>,
+/// Assigns dense ids to strings in first-seen order.
+#[derive(Default)]
+struct Interner {
+    ids: HashMap<String, TokenId>,
 }
 
-/// A prepared batch context: per-concept [`ConceptView`]s plus per-concept
-/// BFS tables and the shared depth table, constructed once per matrix /
-/// rank / set operation. An n-concept scan costs n preparations instead of
-/// O(n²) rederivations.
-#[derive(Debug)]
+impl Interner {
+    fn id(&mut self, s: &str) -> TokenId {
+        if let Some(&id) = self.ids.get(s) {
+            return id;
+        }
+        let id = self.ids.len() as TokenId;
+        self.ids.insert(s.to_owned(), id);
+        id
+    }
+
+    /// The interned strings, indexed by id.
+    fn into_pool(self) -> Vec<String> {
+        let mut pool = vec![String::new(); self.ids.len()];
+        for (s, id) in self.ids {
+            if let Some(slot) = pool.get_mut(id as usize) {
+                *slot = s;
+            }
+        }
+        pool
+    }
+}
+
+/// [`PrepareNeeds::TOKENS`]: interned M₂ sequences and their Myers patterns.
+struct TokenFamily {
+    tokens: Vec<Vec<TokenId>>,
+    patterns: Vec<MyersPattern>,
+}
+
+/// [`PrepareNeeds::NAME_CHARS`]: names as characters plus their Jaro
+/// bitmasks (`None` for names longer than 64 characters).
+struct NameCharFamily {
+    chars: Vec<Vec<char>>,
+    masks: Vec<Option<JaroMask>>,
+}
+
+/// [`PrepareNeeds::NAME_TOKENS`]: interned name words plus the characters
+/// of every distinct word, indexed by its id.
+struct NameTokenFamily {
+    tokens: Vec<Vec<TokenId>>,
+    pool: Vec<Vec<char>>,
+}
+
+/// [`PrepareNeeds::TFIDF`]: TF-IDF vectors (empty for concepts without a
+/// document) and their dense projections, projected on first use so the
+/// full-text measure never pays for them.
+struct TfidfFamily {
+    vectors: Vec<Vec<(TermId, f64)>>,
+    embeddings: OnceLock<Vec<Vec<f64>>>,
+}
+
+/// The prepared artifacts of one frozen toolkit, held for its lifetime:
+/// everything the runners rederive per *pair* on the naive path, derived
+/// once per *concept* instead.
+///
+/// Rows are all registered concepts, ontology-major in concept-id order,
+/// so a [`GlobalConcept`] finds its row by arithmetic. Each
+/// [`PrepareNeeds`] family is built over every row at most once, lazily,
+/// by the first [`PreparedContext`] that needs it; building the toolkit
+/// builds none. The families live and die with the toolkit, so a hot swap
+/// that drops the old toolkit drops them too.
+pub(crate) struct ResidentViews {
+    /// First row of each ontology.
+    offsets: Vec<usize>,
+    /// The concept of each row.
+    concepts: Vec<GlobalConcept>,
+    /// The unified-tree node of each row.
+    nodes: Vec<NodeId>,
+    /// `core.prepare.family.builds`.
+    builds: Arc<Counter>,
+    tokens: OnceLock<TokenFamily>,
+    features: OnceLock<Vec<InternedFeatures>>,
+    name_chars: OnceLock<NameCharFamily>,
+    name_tokens: OnceLock<NameTokenFamily>,
+    qgrams: OnceLock<Vec<Option<QGramPacked>>>,
+    subtrees: OnceLock<Vec<ZsTree>>,
+    tfidf: OnceLock<TfidfFamily>,
+    ancestors: OnceLock<Vec<AncestorList>>,
+}
+
+impl fmt::Debug for ResidentViews {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ResidentViews")
+            .field("rows", &self.concepts.len())
+            .finish_non_exhaustive()
+    }
+}
+
+impl ResidentViews {
+    /// Row index only; every family starts unbuilt.
+    pub(crate) fn new(soqa: &Soqa, tree: &UnifiedTree, builds: Arc<Counter>) -> Self {
+        let mut offsets = Vec::with_capacity(soqa.ontology_count());
+        let mut concepts = Vec::new();
+        for ontology in 0..soqa.ontology_count() {
+            offsets.push(concepts.len());
+            concepts.extend(
+                soqa.ontology_at(ontology)
+                    .concept_ids()
+                    .map(|concept| GlobalConcept { ontology, concept }),
+            );
+        }
+        let nodes = concepts.iter().map(|&gc| tree.node(gc)).collect();
+        ResidentViews {
+            offsets,
+            concepts,
+            nodes,
+            builds,
+            tokens: OnceLock::new(),
+            features: OnceLock::new(),
+            name_chars: OnceLock::new(),
+            name_tokens: OnceLock::new(),
+            qgrams: OnceLock::new(),
+            subtrees: OnceLock::new(),
+            tfidf: OnceLock::new(),
+            ancestors: OnceLock::new(),
+        }
+    }
+
+    /// The row of `gc`, or `None` for a concept this toolkit does not hold.
+    fn row(&self, gc: GlobalConcept) -> Option<usize> {
+        let row = self.offsets.get(gc.ontology)? + gc.concept.0 as usize;
+        (self.concepts.get(row) == Some(&gc)).then_some(row)
+    }
+
+    /// `cell`'s family, built on first use. Concurrent first users block
+    /// on one build, so each family is built (and counted) exactly once.
+    fn family<'s, T>(&'s self, cell: &'s OnceLock<T>, build: impl FnOnce() -> T) -> &'s T {
+        cell.get_or_init(|| {
+            self.builds.inc();
+            build()
+        })
+    }
+
+    fn tokens(&self, base: &SimilarityContext<'_>) -> &TokenFamily {
+        self.family(&self.tokens, || {
+            let mut interner = Interner::default();
+            let tokens: Vec<Vec<TokenId>> = self
+                .concepts
+                .iter()
+                .map(|&gc| {
+                    base.token_sequence(gc)
+                        .iter()
+                        .map(|t| interner.id(t))
+                        .collect()
+                })
+                .collect();
+            let patterns = tokens.iter().map(|t| MyersPattern::new(t)).collect();
+            TokenFamily { tokens, patterns }
+        })
+    }
+
+    fn features(&self, base: &SimilarityContext<'_>) -> &[InternedFeatures] {
+        self.family(&self.features, || {
+            let mut interner = Interner::default();
+            self.concepts
+                .iter()
+                .map(|&gc| {
+                    let set = base.feature_set(gc);
+                    InternedFeatures::new(set.iter().map(|f| interner.id(f)).collect())
+                })
+                .collect()
+        })
+        .as_slice()
+    }
+
+    fn name_chars(&self, base: &SimilarityContext<'_>) -> &NameCharFamily {
+        self.family(&self.name_chars, || {
+            let chars: Vec<Vec<char>> = self
+                .concepts
+                .iter()
+                .map(|&gc| base.name(gc).chars().collect())
+                .collect();
+            let masks = chars.iter().map(|c| JaroMask::new(c)).collect();
+            NameCharFamily { chars, masks }
+        })
+    }
+
+    fn name_tokens(&self, base: &SimilarityContext<'_>) -> &NameTokenFamily {
+        self.family(&self.name_tokens, || {
+            let mut interner = Interner::default();
+            let tokens = self
+                .concepts
+                .iter()
+                .map(|&gc| {
+                    sst_index::tokenize(base.name(gc))
+                        .iter()
+                        .map(|t| interner.id(t))
+                        .collect()
+                })
+                .collect();
+            let pool = interner
+                .into_pool()
+                .iter()
+                .map(|t| t.chars().collect())
+                .collect();
+            NameTokenFamily { tokens, pool }
+        })
+    }
+
+    fn qgrams(&self, base: &SimilarityContext<'_>) -> &[Option<QGramPacked>] {
+        self.family(&self.qgrams, || {
+            self.concepts
+                .iter()
+                .map(|&gc| QGramPacked::new(base.name(gc), QGRAM_Q))
+                .collect()
+        })
+        .as_slice()
+    }
+
+    fn subtrees(&self, base: &SimilarityContext<'_>) -> &[ZsTree] {
+        self.family(&self.subtrees, || {
+            self.concepts
+                .iter()
+                .map(|&gc| ZsTree::new(&base.subtree(gc, 2)))
+                .collect()
+        })
+        .as_slice()
+    }
+
+    fn tfidf(&self, base: &SimilarityContext<'_>) -> &TfidfFamily {
+        self.family(&self.tfidf, || {
+            let vectors = self
+                .nodes
+                .iter()
+                .map(|&node| {
+                    base.doc_ids
+                        .get(node as usize)
+                        .copied()
+                        .flatten()
+                        .map(|d| base.index.tfidf_vector(d))
+                        .unwrap_or_default()
+                })
+                .collect();
+            TfidfFamily {
+                vectors,
+                embeddings: OnceLock::new(),
+            }
+        })
+    }
+
+    fn ancestors(&self, base: &SimilarityContext<'_>) -> &[AncestorList] {
+        self.family(&self.ancestors, || {
+            base.tree.taxonomy().ancestor_lists_for(&self.nodes)
+        })
+        .as_slice()
+    }
+}
+
+/// A prepared batch: the caller's concept list (one entry per position;
+/// duplicates are kept so positions line up with the caller's list),
+/// mapped onto the toolkit's resident rows, plus the resident families it
+/// was prepared with. Construction costs O(positions) — it builds no
+/// artifact, only borrows them (building a family the toolkit has never
+/// needed before, once) — so every matrix, rank and set operation can
+/// afford its own context.
 pub struct PreparedContext<'a> {
     base: SimilarityContext<'a>,
-    views: Vec<ConceptView>,
-    /// First position of each distinct concept in `views`.
-    index_of: HashMap<GlobalConcept, usize>,
-    /// Per-concept upward + undirected BFS tables over the unified tree
-    /// (empty unless [`PrepareNeeds::TABLES`] was requested).
-    tables: Vec<SourceTables>,
-    /// Compact sorted ancestor lists derived from `tables` (same gating).
-    ancestors: Vec<AncestorList>,
+    concepts: Vec<GlobalConcept>,
+    /// Resident row of each position (`None` for a foreign concept, which
+    /// then takes the naive fallback on every scorer).
+    rows: Vec<Option<usize>>,
+    /// Unified-tree node of each resident row.
+    nodes: &'a [NodeId],
     depths: Arc<DepthTable>,
-    /// Distinct lowercase name tokens across the batch, indexed by the ids
-    /// in [`ConceptView::name_tokens`].
-    name_token_pool: Vec<String>,
+    tokens: Option<&'a TokenFamily>,
+    features: Option<&'a [InternedFeatures]>,
+    name_chars: Option<&'a NameCharFamily>,
+    name_tokens: Option<&'a NameTokenFamily>,
+    qgrams: Option<&'a [Option<QGramPacked>]>,
+    subtrees: Option<&'a [ZsTree]>,
+    tfidf: Option<&'a TfidfFamily>,
+    ancestors: Option<&'a [AncestorList]>,
+}
+
+impl fmt::Debug for PreparedContext<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PreparedContext")
+            .field("positions", &self.concepts.len())
+            .finish()
+    }
 }
 
 impl<'a> PreparedContext<'a> {
-    /// Builds every artifact family for `concepts` (one entry per position;
-    /// duplicates are kept so positions line up with the caller's list).
-    pub fn new(base: SimilarityContext<'a>, concepts: &[GlobalConcept]) -> Self {
-        PreparedContext::new_with_needs(base, concepts, PrepareNeeds::ALL)
-    }
-
-    /// [`PreparedContext::new`] restricted to the artifact families in
-    /// `needs` — the facade passes the union of the participating runners'
-    /// [`MeasureRunner::needs`], so a single-measure batch stops paying
-    /// the prepare cost of the other eighteen measures.
-    pub fn new_with_needs(
+    /// Maps `concepts` onto `resident`'s rows and borrows the families in
+    /// `needs` (building any that `resident` has not built yet).
+    pub(crate) fn new(
         base: SimilarityContext<'a>,
+        resident: &'a ResidentViews,
         concepts: &[GlobalConcept],
         needs: PrepareNeeds,
     ) -> Self {
-        let nodes: Vec<NodeId> = concepts.iter().map(|&gc| base.tree.node(gc)).collect();
-        let (tables, ancestors) = if needs.contains(PrepareNeeds::TABLES) {
-            let tables = base.tree.taxonomy().source_tables_for(&nodes);
-            let ancestors = tables
-                .iter()
-                .map(|t| AncestorList::from_table(&t.up))
-                .collect();
-            (tables, ancestors)
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        let depths = base.tree.taxonomy().depths();
-        let mut interner: HashMap<String, TokenId> = HashMap::new();
-        let mut feature_interner: HashMap<String, TokenId> = HashMap::new();
-        let mut name_interner: HashMap<String, TokenId> = HashMap::new();
-        let mut name_token_pool: Vec<String> = Vec::new();
-        let mut index_of = HashMap::with_capacity(concepts.len());
-        let mut views = Vec::with_capacity(concepts.len());
-        for (i, (&gc, &node)) in concepts.iter().zip(&nodes).enumerate() {
-            index_of.entry(gc).or_insert(i);
-            let tokens: Option<Vec<TokenId>> = needs.contains(PrepareNeeds::TOKENS).then(|| {
-                base.token_sequence(gc)
-                    .into_iter()
-                    .map(|t| {
-                        let next = interner.len() as TokenId;
-                        *interner.entry(t).or_insert(next)
-                    })
-                    .collect()
-            });
-            let token_pattern = tokens.as_deref().map(MyersPattern::new);
-            let name = base.name(gc).to_owned();
-            let name_tokens: Option<Vec<TokenId>> =
-                needs.contains(PrepareNeeds::NAME_TOKENS).then(|| {
-                    sst_index::tokenize(&name)
-                        .into_iter()
-                        .map(|t| {
-                            if let Some(&id) = name_interner.get(&t) {
-                                id
-                            } else {
-                                let id = name_token_pool.len() as TokenId;
-                                name_interner.insert(t.clone(), id);
-                                name_token_pool.push(t);
-                                id
-                            }
-                        })
-                        .collect()
-                });
-            let name_chars: Option<Vec<char>> = needs
-                .contains(PrepareNeeds::NAME_CHARS)
-                .then(|| name.chars().collect());
-            let jaro_mask = name_chars.as_deref().and_then(JaroMask::new);
-            let qgrams = if needs.contains(PrepareNeeds::QGRAMS) {
-                QGramPacked::new(&name, QGRAM_Q)
-            } else {
-                None
-            };
-            let features = needs
-                .contains(PrepareNeeds::FEATURES)
-                .then(|| base.feature_set(gc));
-            let features_interned = features.as_ref().map(|set| {
-                let ids = set
-                    .iter()
-                    .map(|f| {
-                        if let Some(&id) = feature_interner.get(f.as_str()) {
-                            id
-                        } else {
-                            let id = feature_interner.len() as TokenId;
-                            feature_interner.insert(f.clone(), id);
-                            id
-                        }
-                    })
-                    .collect();
-                InternedFeatures::new(ids)
-            });
-            let subtree = needs
-                .contains(PrepareNeeds::SUBTREES)
-                .then(|| ZsTree::new(&base.subtree(gc, 2)));
-            let doc = base.doc_ids[node as usize];
-            let tfidf = needs
-                .contains(PrepareNeeds::TFIDF)
-                .then(|| doc.map(|d| base.index.tfidf_vector(d)).unwrap_or_default());
-            views.push(ConceptView {
-                concept: gc,
-                node,
-                name,
-                doc,
-                features,
-                features_interned,
-                tokens,
-                token_pattern,
-                name_chars,
-                jaro_mask,
-                name_tokens,
-                qgrams,
-                subtree,
-                tfidf,
-            });
-        }
+        let has = |family| needs.contains(family);
         PreparedContext {
             base,
-            views,
-            index_of,
-            tables,
-            ancestors,
-            depths,
-            name_token_pool,
+            concepts: concepts.to_vec(),
+            rows: concepts.iter().map(|&gc| resident.row(gc)).collect(),
+            nodes: &resident.nodes,
+            depths: base.tree.taxonomy().depths(),
+            tokens: has(PrepareNeeds::TOKENS).then(|| resident.tokens(&base)),
+            features: has(PrepareNeeds::FEATURES).then(|| resident.features(&base)),
+            name_chars: has(PrepareNeeds::NAME_CHARS).then(|| resident.name_chars(&base)),
+            name_tokens: has(PrepareNeeds::NAME_TOKENS).then(|| resident.name_tokens(&base)),
+            qgrams: has(PrepareNeeds::QGRAMS).then(|| resident.qgrams(&base)),
+            subtrees: has(PrepareNeeds::SUBTREES).then(|| resident.subtrees(&base)),
+            tfidf: has(PrepareNeeds::TFIDF).then(|| resident.tfidf(&base)),
+            ancestors: has(PrepareNeeds::TABLES).then(|| resident.ancestors(&base)),
         }
-    }
-
-    /// The distinct name tokens of the batch (the strings behind the ids in
-    /// [`ConceptView::name_tokens`]).
-    pub fn name_token_pool(&self) -> &[String] {
-        &self.name_token_pool
     }
 
     /// The underlying per-pair context (for naive fallback scoring).
@@ -418,48 +544,132 @@ impl<'a> PreparedContext<'a> {
 
     /// Number of prepared positions.
     pub fn len(&self) -> usize {
-        self.views.len()
+        self.concepts.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.views.is_empty()
+        self.concepts.is_empty()
     }
 
     /// The concept at position `i`.
     pub fn concept(&self, i: usize) -> GlobalConcept {
-        self.views[i].concept
+        self.concepts[i]
     }
 
-    /// The memoized views of the concept at position `i`.
-    pub fn view(&self, i: usize) -> &ConceptView {
-        &self.views[i]
+    /// First position of `gc`, if it was prepared.
+    pub fn position(&self, gc: GlobalConcept) -> Option<usize> {
+        self.concepts.iter().position(|&c| c == gc)
     }
 
-    /// The BFS tables of the concept at position `i`.
-    pub fn tables(&self, i: usize) -> &SourceTables {
-        &self.tables[i]
+    /// `family`'s entry for position `i`.
+    fn at<T>(&self, family: Option<&'a [T]>, i: usize) -> Option<&'a T> {
+        family?.get(self.rows.get(i).copied().flatten()?)
     }
 
-    /// The BFS tables of position `i`, or `None` when the context was
-    /// prepared without [`PrepareNeeds::TABLES`].
-    pub fn try_tables(&self, i: usize) -> Option<&SourceTables> {
-        self.tables.get(i)
+    /// The unified-tree node of position `i`.
+    pub fn node(&self, i: usize) -> NodeId {
+        match self.at(Some(self.nodes), i) {
+            Some(&node) => node,
+            None => self.base.tree.node(self.concept(i)),
+        }
+    }
+
+    /// The full-text document of position `i`, if the concept has one.
+    pub fn doc(&self, i: usize) -> Option<DocId> {
+        self.base
+            .doc_ids
+            .get(self.node(i) as usize)
+            .copied()
+            .flatten()
+    }
+
+    /// The interned M₂ token sequence of position `i`.
+    pub fn tokens(&self, i: usize) -> Option<&'a [TokenId]> {
+        self.at(self.tokens.map(|f| f.tokens.as_slice()), i)
+            .map(Vec::as_slice)
+    }
+
+    /// The Myers bit-vector pattern over [`PreparedContext::tokens`].
+    pub fn token_pattern(&self, i: usize) -> Option<&'a MyersPattern> {
+        self.at(self.tokens.map(|f| f.patterns.as_slice()), i)
+    }
+
+    /// The M₁ feature set of position `i`, interned to sorted ids.
+    pub fn features(&self, i: usize) -> Option<&'a InternedFeatures> {
+        self.at(self.features, i)
+    }
+
+    /// The name of position `i` as characters (Jaro family).
+    pub fn name_chars(&self, i: usize) -> Option<&'a [char]> {
+        self.at(self.name_chars.map(|f| f.chars.as_slice()), i)
+            .map(Vec::as_slice)
+    }
+
+    /// The Jaro bitmasks of [`PreparedContext::name_chars`] (`None` also
+    /// for names longer than 64 characters).
+    pub fn jaro_mask(&self, i: usize) -> Option<&'a JaroMask> {
+        self.at(self.name_chars.map(|f| f.masks.as_slice()), i)?
+            .as_ref()
+    }
+
+    /// The interned lowercase name words of position `i` (Monge-Elkan).
+    pub fn name_tokens(&self, i: usize) -> Option<&'a [TokenId]> {
+        self.at(self.name_tokens.map(|f| f.tokens.as_slice()), i)
+            .map(Vec::as_slice)
+    }
+
+    /// The characters of name word `token`.
+    pub fn name_token_chars(&self, token: TokenId) -> Option<&'a [char]> {
+        self.name_tokens?
+            .pool
+            .get(token as usize)
+            .map(Vec::as_slice)
+    }
+
+    /// Number of distinct name words across the toolkit (`0` when the
+    /// context was prepared without [`PrepareNeeds::NAME_TOKENS`]).
+    fn name_token_count(&self) -> usize {
+        self.name_tokens.map_or(0, |f| f.pool.len())
+    }
+
+    /// The packed padded q-gram profile of position `i`'s name.
+    pub fn qgrams(&self, i: usize) -> Option<&'a QGramPacked> {
+        self.at(self.qgrams, i)?.as_ref()
+    }
+
+    /// Position `i`'s depth-2 subtree in Zhang-Shasha form.
+    pub fn subtree(&self, i: usize) -> Option<&'a ZsTree> {
+        self.at(self.subtrees, i)
+    }
+
+    /// Position `i`'s TF-IDF vector (empty when it has no document).
+    pub fn tfidf(&self, i: usize) -> Option<&'a [(TermId, f64)]> {
+        self.at(self.tfidf.map(|f| f.vectors.as_slice()), i)
+            .map(Vec::as_slice)
+    }
+
+    /// Position `i`'s dense embedding (see [`crate::vector::embed_tfidf`]).
+    pub fn embedding(&self, i: usize) -> Option<&'a [f64]> {
+        let embeddings = self.tfidf.map(|f| {
+            f.embeddings.get_or_init(|| {
+                f.vectors
+                    .iter()
+                    .map(|t| crate::vector::embed_tfidf(t, crate::vector::EMBED_DIM))
+                    .collect()
+            })
+        });
+        self.at(embeddings.map(Vec::as_slice), i).map(Vec::as_slice)
     }
 
     /// The compact ancestor list of position `i`, or `None` when the
     /// context was prepared without [`PrepareNeeds::TABLES`].
-    pub fn ancestors(&self, i: usize) -> Option<&AncestorList> {
-        self.ancestors.get(i)
+    pub fn ancestors(&self, i: usize) -> Option<&'a AncestorList> {
+        self.at(self.ancestors, i)
     }
 
     /// The shared depth table of the unified tree.
     pub fn depths(&self) -> &DepthTable {
         &self.depths
-    }
-
-    /// First position of `gc`, if it was prepared.
-    pub fn position(&self, gc: GlobalConcept) -> Option<usize> {
-        self.index_of.get(&gc).copied()
     }
 }
 
@@ -500,7 +710,7 @@ impl fmt::Debug for dyn MeasureRunner {
 }
 
 /// Prepared scorer over M₁ feature sets: sorted-merge intersection of the
-/// batch-interned id lists, folded through the measure's count-based core
+/// interned id lists, folded through the measure's count-based core
 /// (bit-identical to the set formula by construction — see
 /// `sst_simpack::vector`). The concept-identity check mirrors the naive
 /// runners' identity axiom (compare concepts, not positions: duplicated
@@ -515,15 +725,15 @@ struct PreparedFeatures<'p> {
 
 impl PreparedMeasure for PreparedFeatures<'_> {
     fn similarity(&self, a: usize, b: usize) -> f64 {
-        let (va, vb) = (self.prep.view(a), self.prep.view(b));
-        if va.concept == vb.concept {
+        let (ca, cb) = (self.prep.concept(a), self.prep.concept(b));
+        if ca == cb {
             return 1.0; // identity axiom, even for featureless concepts
         }
-        match (&va.features_interned, &vb.features_interned) {
+        match (self.prep.features(a), self.prep.features(b)) {
             (Some(ia), Some(ib)) => (self.counts)(ia.intersection_size(ib), ia.len(), ib.len()),
             _ => {
                 let base = self.prep.base();
-                (self.sets)(&base.feature_set(va.concept), &base.feature_set(vb.concept))
+                (self.sets)(&base.feature_set(ca), &base.feature_set(cb))
             }
         }
     }
@@ -539,14 +749,13 @@ struct PreparedTokens<'p> {
 
 impl PreparedMeasure for PreparedTokens<'_> {
     fn similarity(&self, a: usize, b: usize) -> f64 {
-        let (va, vb) = (self.prep.view(a), self.prep.view(b));
-        match (&va.tokens, &vb.tokens) {
+        match (self.prep.tokens(a), self.prep.tokens(b)) {
             (Some(ta), Some(tb)) => (self.f)(ta, tb),
             _ => {
                 let base = self.prep.base();
                 (self.fallback)(
-                    &base.token_sequence(va.concept),
-                    &base.token_sequence(vb.concept),
+                    &base.token_sequence(self.prep.concept(a)),
+                    &base.token_sequence(self.prep.concept(b)),
                 )
             }
         }
@@ -565,16 +774,15 @@ struct PreparedSeqLevenshtein<'p> {
 
 impl PreparedMeasure for PreparedSeqLevenshtein<'_> {
     fn similarity(&self, a: usize, b: usize) -> f64 {
-        let (va, vb) = (self.prep.view(a), self.prep.view(b));
-        match (&va.token_pattern, &vb.tokens) {
+        match (self.prep.token_pattern(a), self.prep.tokens(b)) {
             (Some(pa), Some(tb)) => {
                 with_myers_scratch(|s| myers_sequence_similarity_from(pa, tb, s))
             }
             _ => {
                 let base = self.prep.base();
                 sequence_similarity(
-                    &base.token_sequence(va.concept),
-                    &base.token_sequence(vb.concept),
+                    &base.token_sequence(self.prep.concept(a)),
+                    &base.token_sequence(self.prep.concept(b)),
                     CostModel::UNIT,
                 )
             }
@@ -592,18 +800,19 @@ struct PreparedJaro<'p> {
 
 impl PreparedMeasure for PreparedJaro<'_> {
     fn similarity(&self, a: usize, b: usize) -> f64 {
-        let (va, vb) = (self.prep.view(a), self.prep.view(b));
-        match (&va.name_chars, &vb.name_chars) {
+        match (self.prep.name_chars(a), self.prep.name_chars(b)) {
             (Some(ca), Some(cb)) => with_jaro_scratch(|s| {
+                let mask = self.prep.jaro_mask(b);
                 if self.winkler {
-                    jaro_winkler_fast(ca, cb, vb.jaro_mask.as_ref(), s)
+                    jaro_winkler_fast(ca, cb, mask, s)
                 } else {
-                    jaro_fast(ca, cb, vb.jaro_mask.as_ref(), s)
+                    jaro_fast(ca, cb, mask, s)
                 }
             }),
             _ => {
                 let base = self.prep.base();
-                let (na, nb) = (base.name(va.concept), base.name(vb.concept));
+                let na = base.name(self.prep.concept(a));
+                let nb = base.name(self.prep.concept(b));
                 if self.winkler {
                     jaro_winkler(na, nb)
                 } else {
@@ -615,7 +824,7 @@ impl PreparedMeasure for PreparedJaro<'_> {
 }
 
 /// Gram size of the registered q-gram measure (padded trigrams); the
-/// profiles cached on [`ConceptView`] are built with the same size.
+/// resident profiles are built with the same size.
 const QGRAM_Q: usize = 3;
 
 /// Prepared q-gram scorer over packed per-concept gram profiles: a sorted
@@ -627,99 +836,144 @@ struct PreparedQGram<'p> {
 
 impl PreparedMeasure for PreparedQGram<'_> {
     fn similarity(&self, a: usize, b: usize) -> f64 {
-        let (va, vb) = (self.prep.view(a), self.prep.view(b));
-        match (&va.qgrams, &vb.qgrams) {
+        match (self.prep.qgrams(a), self.prep.qgrams(b)) {
             (Some(qa), Some(qb)) => qgram_packed_from(qa, qb),
             _ => {
                 let base = self.prep.base();
-                qgram(base.name(va.concept), base.name(vb.concept), QGRAM_Q)
+                qgram(
+                    base.name(self.prep.concept(a)),
+                    base.name(self.prep.concept(b)),
+                    QGRAM_Q,
+                )
             }
         }
     }
 }
 
-/// Prepared Monge-Elkan over interned name tokens. A batch's distinct
-/// tokens form a small pool, so the inner [`levenshtein_similarity`] of
-/// every distinct token pair is computed once at prepare time; per-pair
-/// scoring then replays `monge_elkan` in both directions as pure table
-/// lookups — the same inner values consumed in the same fold order, so the
-/// result is bit-identical while the dominant inner DP drops from
-/// O(pairs · tokens²) to O(pool²).
+/// Marks a resident name word the batch does not use.
+const NOT_IN_BATCH: u32 = u32::MAX;
+
+/// Prepared Monge-Elkan over interned name words. The inner
+/// [`levenshtein_similarity`] of two words is looked up in a table over
+/// the *batch's* distinct words (not the toolkit's whole vocabulary, so a
+/// 10-member list pays for its own words only). Both directions of a pair
+/// `(a, b)` read the rows of `a`'s words (the inner similarity is
+/// symmetric), and each row is filled on first use, so a rank fills only
+/// the query's rows and a matrix fills each row once. Per-pair scoring
+/// replays `monge_elkan` in both directions on the table — the same inner
+/// values folded in the same order — so the result is bit-identical.
 struct PreparedMongeElkan<'p> {
     prep: &'p PreparedContext<'p>,
-    /// `rows[x][y] = levenshtein_similarity(pool[x], pool[y])`. Only the
-    /// upper triangle is computed; the lower is mirrored, which is bitwise
-    /// safe because the inner similarity is exactly symmetric (a symmetric
+    /// Batch word indices of every position, concatenated.
+    words: Vec<u32>,
+    /// Each position's range in `words` (`None` without name words).
+    spans: Vec<Option<(usize, usize)>>,
+    /// Resident word id of each batch word index.
+    resident: Vec<TokenId>,
+    /// `rows[x][y] = levenshtein_similarity(word x, word y)`. A row copies
+    /// the entries already computed in other rows, which is bitwise safe
+    /// because the inner similarity is exactly symmetric (a symmetric
     /// integer distance over a symmetric max length).
-    rows: Vec<Vec<f64>>,
+    rows: Vec<OnceLock<Vec<f64>>>,
 }
 
 impl<'p> PreparedMongeElkan<'p> {
     fn new(prep: &'p PreparedContext<'_>) -> Self {
-        let pool = prep.name_token_pool();
-        let chars: Vec<Vec<char>> = pool.iter().map(|t| t.chars().collect()).collect();
-        // The inner Levenshtein runs on the bit-parallel Myers core: one
-        // preprocessed pattern per pool token, one scratch for the whole
-        // table build (bit-identical to `levenshtein_similarity_chars`).
-        let patterns: Vec<MyersPattern> =
-            chars.iter().map(|c| MyersPattern::from_chars(c)).collect();
-        let mut rows: Vec<Vec<f64>> = Vec::with_capacity(pool.len());
-        with_myers_scratch(|scratch| {
-            for (i, x) in patterns.iter().enumerate() {
-                let mut row = Vec::with_capacity(pool.len());
-                for prev in &rows {
-                    // Mirror of the already-computed sim(pool[j], pool[i]).
-                    row.push(prev.get(i).copied().unwrap_or(0.0));
+        let mut local = vec![NOT_IN_BATCH; prep.name_token_count()];
+        let mut resident = Vec::new();
+        let mut words = Vec::new();
+        let mut spans = Vec::with_capacity(prep.len());
+        for i in 0..prep.len() {
+            spans.push(prep.name_tokens(i).map(|tokens| {
+                let start = words.len();
+                for &t in tokens {
+                    if let Some(slot) = local.get_mut(t as usize) {
+                        if *slot == NOT_IN_BATCH {
+                            *slot = resident.len() as u32;
+                            resident.push(t);
+                        }
+                        words.push(*slot);
+                    }
                 }
-                for y in chars.iter().skip(i) {
-                    row.push(myers_similarity_chars_from(x, y, scratch));
-                }
-                rows.push(row);
-            }
-        });
-        PreparedMongeElkan { prep, rows }
+                (start, words.len())
+            }));
+        }
+        let rows = resident.iter().map(|_| OnceLock::new()).collect();
+        PreparedMongeElkan {
+            prep,
+            words,
+            spans,
+            resident,
+            rows,
+        }
     }
 
-    /// The precomputed inner-similarity row of token `x` (empty only if the
-    /// pool itself is empty, in which case no token ids exist either).
-    fn row(&self, x: TokenId) -> &[f64] {
-        self.rows.get(x as usize).map(Vec::as_slice).unwrap_or(&[])
+    /// The batch word indices of position `i`.
+    fn words_of(&self, i: usize) -> Option<&[u32]> {
+        let (start, end) = (*self.spans.get(i)?)?;
+        self.words.get(start..end)
     }
 
-    /// `monge_elkan(a, b, levenshtein_similarity)` replayed on the table.
-    fn directed(&self, a: &[TokenId], b: &[TokenId]) -> f64 {
-        if a.is_empty() {
-            return f64::from(u8::from(b.is_empty()));
-        }
-        if b.is_empty() {
-            return 0.0;
-        }
-        let mut total = 0.0;
-        for &x in a {
-            let row = self.row(x);
-            let best = b
-                .iter()
-                .map(|&y| row.get(y as usize).copied().unwrap_or(0.0))
-                .fold(0.0_f64, f64::max);
-            total += best;
-        }
-        total / a.len() as f64
+    fn chars(&self, x: usize) -> &[char] {
+        self.resident
+            .get(x)
+            .and_then(|&t| self.prep.name_token_chars(t))
+            .unwrap_or_default()
     }
+
+    /// Row `x` of the table, computed on first use on the bit-parallel
+    /// Myers core (bit-identical to `levenshtein_similarity_chars`).
+    fn row(&self, x: u32) -> &[f64] {
+        let x = x as usize;
+        let Some(cell) = self.rows.get(x) else {
+            return &[];
+        };
+        cell.get_or_init(|| {
+            let pattern = MyersPattern::from_chars(self.chars(x));
+            with_myers_scratch(|scratch| {
+                self.rows
+                    .iter()
+                    .enumerate()
+                    .map(|(y, other)| match other.get().and_then(|r| r.get(x)) {
+                        Some(&mirrored) => mirrored,
+                        None => myers_similarity_chars_from(&pattern, self.chars(y), scratch),
+                    })
+                    .collect()
+            })
+        })
+    }
+}
+
+/// `monge_elkan` over `outer` × `inner` token positions with the inner
+/// similarity `sim(o, i)`: the mean over outer tokens of their best inner
+/// match, folded in the same order as `sst_simpack::monge_elkan`.
+fn monge_elkan_fold(outer: usize, inner: usize, sim: impl Fn(usize, usize) -> f64) -> f64 {
+    if outer == 0 {
+        return f64::from(u8::from(inner == 0));
+    }
+    if inner == 0 {
+        return 0.0;
+    }
+    let mut total = 0.0;
+    for o in 0..outer {
+        total += (0..inner).map(|i| sim(o, i)).fold(0.0_f64, f64::max);
+    }
+    total / outer as f64
 }
 
 impl PreparedMeasure for PreparedMongeElkan<'_> {
     fn similarity(&self, a: usize, b: usize) -> f64 {
-        let (va, vb) = (self.prep.view(a), self.prep.view(b));
-        match (&va.name_tokens, &vb.name_tokens) {
-            (Some(ta), Some(tb)) => {
-                let ab = self.directed(ta, tb);
-                let ba = self.directed(tb, ta);
+        match (self.words_of(a), self.words_of(b)) {
+            (Some(wa), Some(wb)) => {
+                let sim = |x: u32, y: u32| self.row(x).get(y as usize).copied().unwrap_or(0.0);
+                let ab = monge_elkan_fold(wa.len(), wb.len(), |o, i| sim(wa[o], wb[i]));
+                let ba = monge_elkan_fold(wb.len(), wa.len(), |o, i| sim(wa[i], wb[o]));
                 (ab + ba) / 2.0
             }
             _ => {
                 let base = self.prep.base();
-                let ta = sst_index::tokenize(base.name(va.concept));
-                let tb = sst_index::tokenize(base.name(vb.concept));
+                let ta = sst_index::tokenize(base.name(self.prep.concept(a)));
+                let tb = sst_index::tokenize(base.name(self.prep.concept(b)));
                 let ra: Vec<&str> = ta.iter().map(String::as_str).collect();
                 let rb: Vec<&str> = tb.iter().map(String::as_str).collect();
                 let ab = monge_elkan(&ra, &rb, levenshtein_similarity);
@@ -730,18 +984,46 @@ impl PreparedMeasure for PreparedMongeElkan<'_> {
     }
 }
 
-/// Which graph formula a [`PreparedGraph`] scorer applies.
+/// Prepared shortest-path scorer. Per-source BFS tables are O(n) each, so
+/// they are never resident: each source position's table is built on
+/// first use and kept for this scorer's lifetime — a rank builds one (the
+/// query's), a matrix one per row.
+struct PreparedShortestPath<'p> {
+    prep: &'p PreparedContext<'p>,
+    sources: Vec<OnceLock<SourceTables>>,
+}
+
+impl<'p> PreparedShortestPath<'p> {
+    fn new(prep: &'p PreparedContext<'_>) -> Self {
+        let sources = (0..prep.len()).map(|_| OnceLock::new()).collect();
+        PreparedShortestPath { prep, sources }
+    }
+}
+
+impl PreparedMeasure for PreparedShortestPath<'_> {
+    fn similarity(&self, a: usize, b: usize) -> f64 {
+        let taxonomy = self.prep.base().tree.taxonomy();
+        let (na, nb) = (self.prep.node(a), self.prep.node(b));
+        match self.sources.get(a) {
+            Some(cell) => {
+                shortest_path_similarity_from(cell.get_or_init(|| taxonomy.source_tables(na)), nb)
+            }
+            None => shortest_path_similarity(taxonomy, na, nb),
+        }
+    }
+}
+
+/// Which ancestor-list formula a [`PreparedGraph`] scorer applies.
 enum GraphFormula {
-    ShortestPath,
     Edge,
     WuPalmerRooted,
 }
 
-/// Prepared scorer over per-concept BFS tables, compact sorted ancestor
-/// lists, and the shared depth table. The compact paths scan the two
-/// concepts' ancestor lists by sorted merge instead of walking full
-/// node-indexed distance tables, visiting candidates in the same ascending
-/// id order with the same tie-breaks (bit-identical by construction).
+/// Prepared graph scorer over compact sorted ancestor lists and the shared
+/// depth table. The compact paths scan the two concepts' ancestor lists by
+/// sorted merge instead of walking full node-indexed distance tables,
+/// visiting candidates in the same ascending id order with the same
+/// tie-breaks (bit-identical by construction).
 struct PreparedGraph<'p> {
     prep: &'p PreparedContext<'p>,
     formula: GraphFormula,
@@ -749,32 +1031,18 @@ struct PreparedGraph<'p> {
 
 impl PreparedMeasure for PreparedGraph<'_> {
     fn similarity(&self, a: usize, b: usize) -> f64 {
-        let (va, vb) = (self.prep.view(a), self.prep.view(b));
-        match self.formula {
-            GraphFormula::ShortestPath => match self.prep.try_tables(a) {
-                Some(ta) => shortest_path_similarity_from(ta, vb.node),
-                None => {
-                    shortest_path_similarity(self.prep.base().tree.taxonomy(), va.node, vb.node)
-                }
-            },
-            GraphFormula::Edge => match (self.prep.ancestors(a), self.prep.ancestors(b)) {
-                (Some(la), Some(lb)) => {
-                    edge_similarity_compact(la, lb, va.node == vb.node, self.prep.depths().max())
-                }
-                _ => edge_similarity(self.prep.base().tree.taxonomy(), va.node, vb.node),
-            },
-            GraphFormula::WuPalmerRooted => {
-                match (self.prep.ancestors(a), self.prep.ancestors(b)) {
-                    (Some(la), Some(lb)) => {
-                        wu_palmer_similarity_rooted_compact(la, lb, self.prep.depths())
-                    }
-                    _ => wu_palmer_similarity_rooted(
-                        self.prep.base().tree.taxonomy(),
-                        va.node,
-                        vb.node,
-                    ),
-                }
+        let (na, nb) = (self.prep.node(a), self.prep.node(b));
+        let taxonomy = self.prep.base().tree.taxonomy();
+        let lists = (self.prep.ancestors(a), self.prep.ancestors(b));
+        match (&self.formula, lists) {
+            (GraphFormula::Edge, (Some(la), Some(lb))) => {
+                edge_similarity_compact(la, lb, na == nb, self.prep.depths().max())
             }
+            (GraphFormula::Edge, _) => edge_similarity(taxonomy, na, nb),
+            (GraphFormula::WuPalmerRooted, (Some(la), Some(lb))) => {
+                wu_palmer_similarity_rooted_compact(la, lb, self.prep.depths())
+            }
+            (GraphFormula::WuPalmerRooted, _) => wu_palmer_similarity_rooted(taxonomy, na, nb),
         }
     }
 }
@@ -798,7 +1066,7 @@ impl PreparedMeasure for PreparedIc<'_> {
     fn similarity(&self, a: usize, b: usize) -> f64 {
         let base = self.prep.base();
         let ic = base.ic;
-        let (na, nb) = (self.prep.view(a).node, self.prep.view(b).node);
+        let (na, nb) = (self.prep.node(a), self.prep.node(b));
         match (self.prep.ancestors(a), self.prep.ancestors(b)) {
             (Some(la), Some(lb)) => match self.formula {
                 IcFormula::Resnik => resnik_similarity_compact(ic, la, lb),
@@ -816,87 +1084,63 @@ impl PreparedMeasure for PreparedIc<'_> {
     }
 }
 
-/// Prepared TF-IDF cosine over cached per-concept term vectors.
+/// Prepared TF-IDF cosine over resident per-concept term vectors.
 struct PreparedTfidf<'p> {
     prep: &'p PreparedContext<'p>,
 }
 
 impl PreparedMeasure for PreparedTfidf<'_> {
     fn similarity(&self, a: usize, b: usize) -> f64 {
-        let (va, vb) = (self.prep.view(a), self.prep.view(b));
-        let (Some(da), Some(db)) = (va.doc, vb.doc) else {
+        let (Some(da), Some(db)) = (self.prep.doc(a), self.prep.doc(b)) else {
             return 0.0;
         };
-        match (&va.tfidf, &vb.tfidf) {
+        match (self.prep.tfidf(a), self.prep.tfidf(b)) {
             (Some(ta), Some(tb)) => cosine_sparse(ta, tb),
             _ => self.prep.base().index.cosine(da, db),
         }
     }
 }
 
-/// Prepared dense-embedding scorer: every prepared concept's cached
-/// TF-IDF vector is projected once at prepare time, then pairs score as
-/// a dim-wide dot product. The projection is the same
-/// [`crate::vector::embed_tfidf`] the naive path runs per pair, so both
-/// paths are bit-identical.
+/// Prepared dense-embedding scorer over the resident projections of the
+/// TF-IDF vectors: pairs score as a dim-wide dot product. The projection
+/// is the same [`crate::vector::embed_tfidf`] the naive path runs per
+/// pair, so both paths are bit-identical.
 struct PreparedDense<'p> {
     prep: &'p PreparedContext<'p>,
-    /// `None` when the context was prepared without TF-IDF vectors.
-    embeddings: Option<Vec<Vec<f64>>>,
-}
-
-impl<'p> PreparedDense<'p> {
-    fn new(prep: &'p PreparedContext<'_>) -> Self {
-        let embeddings = (0..prep.len())
-            .map(|i| {
-                prep.view(i)
-                    .tfidf
-                    .as_ref()
-                    .map(|t| crate::vector::embed_tfidf(t, crate::vector::EMBED_DIM))
-            })
-            .collect::<Option<Vec<_>>>();
-        PreparedDense { prep, embeddings }
-    }
 }
 
 impl PreparedMeasure for PreparedDense<'_> {
     fn similarity(&self, a: usize, b: usize) -> f64 {
-        let (va, vb) = (self.prep.view(a), self.prep.view(b));
-        if va.concept == vb.concept {
+        let (ca, cb) = (self.prep.concept(a), self.prep.concept(b));
+        if ca == cb {
             return 1.0; // identity axiom, even for undescribed concepts
         }
-        match &self.embeddings {
-            Some(embeddings) => {
-                let empty: &[f64] = &[];
-                let ea = embeddings.get(a).map(Vec::as_slice).unwrap_or(empty);
-                let eb = embeddings.get(b).map(Vec::as_slice).unwrap_or(empty);
-                dense_unit_similarity(ea, eb)
-            }
-            None => {
+        match (self.prep.embedding(a), self.prep.embedding(b)) {
+            (Some(ea), Some(eb)) => dense_unit_similarity(ea, eb),
+            _ => {
                 let base = self.prep.base();
-                dense_unit_similarity(
-                    &base.dense_embedding(va.concept),
-                    &base.dense_embedding(vb.concept),
-                )
+                dense_unit_similarity(&base.dense_embedding(ca), &base.dense_embedding(cb))
             }
         }
     }
 }
 
-/// Prepared Zhang-Shasha similarity over cached subtree forms, reusing the
-/// per-thread DP scratch across pairs.
+/// Prepared Zhang-Shasha similarity over resident subtree forms, reusing
+/// the per-thread DP scratch across pairs.
 struct PreparedTreeEdit<'p> {
     prep: &'p PreparedContext<'p>,
 }
 
 impl PreparedMeasure for PreparedTreeEdit<'_> {
     fn similarity(&self, a: usize, b: usize) -> f64 {
-        let (va, vb) = (self.prep.view(a), self.prep.view(b));
-        match (&va.subtree, &vb.subtree) {
+        match (self.prep.subtree(a), self.prep.subtree(b)) {
             (Some(ta), Some(tb)) => with_zs_scratch(|s| tree_similarity_zs_scratch(ta, tb, s)),
             _ => {
                 let base = self.prep.base();
-                tree_similarity(&base.subtree(va.concept, 2), &base.subtree(vb.concept, 2))
+                tree_similarity(
+                    &base.subtree(self.prep.concept(a), 2),
+                    &base.subtree(self.prep.concept(b), 2),
+                )
             }
         }
     }
@@ -1072,8 +1316,9 @@ runner!(
     |ctx, a, b| {
         shortest_path_similarity(ctx.tree.taxonomy(), ctx.tree.node(a), ctx.tree.node(b))
     },
-    needs: PrepareNeeds::TABLES,
-    prepare: |prep| Some(Box::new(PreparedGraph { prep, formula: GraphFormula::ShortestPath }))
+    // Reads no resident family: its per-source tables are built per scorer.
+    needs: PrepareNeeds::NONE,
+    prepare: |prep| Some(Box::new(PreparedShortestPath::new(prep)))
 );
 runner!(
     /// Normalized edge counting (Eq. 5).
@@ -1204,7 +1449,7 @@ runner!(
         dense_unit_similarity(&ctx.dense_embedding(a), &ctx.dense_embedding(b))
     },
     needs: PrepareNeeds::TFIDF,
-    prepare: |prep| Some(Box::new(PreparedDense::new(prep)))
+    prepare: |prep| Some(Box::new(PreparedDense { prep }))
 );
 
 /// The default runner set, in registration order. The position of each

@@ -4,7 +4,7 @@
 //! The paper's headline service — "rank all concepts by similarity to a
 //! query" — is an O(n) scan per request on the measure paths. This module
 //! is the sub-linear counterpart: every concept's TF-IDF document vector
-//! (the artifact already memoized on `ConceptView`) is projected into a
+//! (the toolkit's resident TF-IDF artifact) is projected into a
 //! fixed-dimension dense embedding by a *deterministic signed random
 //! projection*, the embeddings live in a row-major matrix, and top-k
 //! retrieval runs either as an exact brute-force scan (the reference

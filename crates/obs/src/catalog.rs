@@ -147,6 +147,11 @@ pub const CATALOG: &[MetricDecl] = &[
         help: "concepts captured in prepared contexts",
     },
     MetricDecl {
+        name: "core.prepare.family.builds",
+        kind: MetricKind::Counter,
+        help: "resident prepared-artifact families built (at most one per family per toolkit)",
+    },
+    MetricDecl {
         name: "core.prepare.latency",
         kind: MetricKind::Histogram,
         help: "prepared-context construction wall time (ns)",

@@ -228,17 +228,40 @@ impl Taxonomy {
         }
     }
 
-    /// Batch variant of [`Taxonomy::source_tables`]: one table pair per
-    /// requested source, reusing a single BFS queue as scratch across the
-    /// whole batch. This is what turns an n-concept matrix scan from n²
-    /// traversals into n.
-    pub fn source_tables_for(&self, starts: &[NodeId]) -> Vec<SourceTables> {
+    /// Compact ancestor lists of `starts`: one upward BFS per source over
+    /// a distance buffer shared by the whole batch and reset only where a
+    /// source touched it, so a source costs O(ancestors) instead of the
+    /// O(n) of a full [`Taxonomy::up_distances`] table. Each list equals
+    /// [`AncestorList::from_table`] of that table.
+    pub fn ancestor_lists_for(&self, starts: &[NodeId]) -> Vec<AncestorList> {
+        let mut dist: Vec<Option<u32>> = vec![None; self.node_count()];
         let mut queue = VecDeque::new();
+        let mut touched: Vec<NodeId> = Vec::new();
         starts
             .iter()
-            .map(|&s| SourceTables {
-                up: self.up_distances_with(s, &mut queue),
-                undirected: self.undirected_distances_with(s, &mut queue),
+            .map(|&start| {
+                dist[start as usize] = Some(0);
+                touched.push(start);
+                queue.push_back(start);
+                while let Some(n) = queue.pop_front() {
+                    let Some(d) = dist[n as usize] else { continue };
+                    for &p in &self.parents[n as usize] {
+                        if dist[p as usize].is_none() {
+                            dist[p as usize] = Some(d + 1);
+                            touched.push(p);
+                            queue.push_back(p);
+                        }
+                    }
+                }
+                touched.sort_unstable();
+                let entries = touched
+                    .iter()
+                    .filter_map(|&n| dist[n as usize].map(|d| (n, d)))
+                    .collect();
+                for n in touched.drain(..) {
+                    dist[n as usize] = None;
+                }
+                AncestorList { entries }
             })
             .collect()
     }
@@ -776,6 +799,13 @@ mod tests {
                 .iter()
                 .map(|up| AncestorList::from_table(up))
                 .collect();
+            // The sparse batch BFS yields the same lists, in any source
+            // order and with repeated sources.
+            let starts: Vec<NodeId> = (0..n).rev().chain(0..n).collect();
+            let batch = t.ancestor_lists_for(&starts);
+            for (&s, list) in starts.iter().zip(&batch) {
+                assert_eq!(list.entries, lists[s as usize].entries, "source {s}");
+            }
             for a in 0..n {
                 for b in 0..n {
                     let (ta, tb) = (&tables[a as usize], &tables[b as usize]);
@@ -806,7 +836,7 @@ mod tests {
     fn source_tables_reproduce_pairwise_measures_bit_identically() {
         let t = sample();
         let nodes: Vec<NodeId> = (0..7).collect();
-        let tables = t.source_tables_for(&nodes);
+        let tables: Vec<_> = nodes.iter().map(|&a| t.source_tables(a)).collect();
         let depths = t.depths();
         for &a in &nodes {
             assert_eq!(tables[a as usize].up, t.up_distances(a));
